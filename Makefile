@@ -46,16 +46,19 @@
 #   make bench-coevo  arena benchmarks (one full generation; warm vs cold
 #                retrain) -> BENCH_coevo.json
 #   make bench-transform  clone-vs-thaw module-copy benchmarks (µs/op and
-#                allocs/op for Clone/Thaw/CompileClone/CompileThaw, plus the
+#                allocs/op for Clone/Thaw/CompileThaw, plus the
 #                harness-round and coevo-generation numbers that ride on the
 #                copy path) -> BENCH_transform.json
+#   make perfbench-check  vet and test the perfbench module (a separate Go
+#                module, so the root build never compiles it) against the
+#                current APIs — run on every PR
 #   make check   everything CI runs: build + test + race + cross +
 #                serve-smoke + gateway-smoke + coevo-smoke + fuzz-smoke +
-#                fuzz-smoke-vm + thaw-smoke
+#                fuzz-smoke-vm + thaw-smoke + perfbench-check
 
 GO ?= go
 
-.PHONY: build test race bench bench-ir bench-interp bench-coevo bench-transform bench-figures perf cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke fuzz check
+.PHONY: build test race bench bench-ir bench-interp bench-coevo bench-transform bench-figures perf cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check fuzz check
 
 build:
 	$(GO) build ./...
@@ -92,7 +95,7 @@ bench:
 # the graph/vector builders over the flat view. Results land in
 # BENCH_ir.json.
 bench-ir:
-	{ $(GO) test -run xxx -bench 'BenchmarkFlatten|BenchmarkClone|BenchmarkFlatShare|BenchmarkCompileClone' -benchmem ./internal/ir/ ; \
+	{ $(GO) test -run xxx -bench 'BenchmarkFlatten|BenchmarkClone|BenchmarkFlatShare' -benchmem ./internal/ir/ ; \
 	  $(GO) test -run xxx -bench 'BenchmarkGraphBuilders|BenchmarkHistogram|BenchmarkVectorBuilders' -benchmem ./internal/embed/ ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_ir.json
 	@echo wrote BENCH_ir.json
@@ -223,10 +226,16 @@ fuzz:
 # Clone-vs-thaw and progcache benchmarks for the transform fast path,
 # recorded machine-readably. Results land in BENCH_transform.json.
 bench-transform:
-	{ $(GO) test -run xxx -bench 'BenchmarkClone|BenchmarkThaw|BenchmarkFlatten|BenchmarkCompileClone|BenchmarkCompileThaw' -benchmem ./internal/ir/ ; \
+	{ $(GO) test -run xxx -bench 'BenchmarkClone|BenchmarkThaw|BenchmarkFlatten|BenchmarkCompileThaw' -benchmem ./internal/ir/ ; \
 	  $(GO) test -run xxx -bench BenchmarkHarnessRounds -benchtime 3x . ; \
 	  $(GO) test -run xxx -bench BenchmarkCoevoGeneration -benchmem -benchtime 5x ./internal/coevo/ ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_transform.json
 	@echo wrote BENCH_transform.json
 
-check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke
+# perfbench/ is its own Go module (it replaces repro with ../), so
+# `go build ./...` at the root never sees it; compile and test it here so an
+# API change it depends on fails CI instead of the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check

@@ -15,12 +15,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/embed"
+	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/ml"
 	"repro/internal/obfus"
 	"repro/internal/passes"
 	"repro/internal/progcache"
 )
+
+// histogram embeds a transformed module the way the harness does: the
+// opcode histogram over its flat view.
+func histogram(m *ir.Module) embed.Vector { return embed.HistogramFlat(ir.Flatten(m)) }
 
 // benchSet caches the shared reduced dataset across benchmarks.
 var benchSetCache = map[[2]int]*dataset.Set{}
@@ -328,7 +333,7 @@ func BenchmarkAblationFoldableBCF(b *testing.B) {
 		if err := passes.Optimize(base, passes.O3); err != nil {
 			b.Fatal(err)
 		}
-		h := embed.Histogram
+		h := histogram
 		b.ReportMetric(embed.Distance(h(base), h(opaque)), "opaque-residual-dist")
 		b.ReportMetric(embed.Distance(h(base), h(foldable)), "foldable-residual-dist")
 	}
@@ -350,7 +355,7 @@ func BenchmarkAblationFlaPostO3(b *testing.B) {
 	}`
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
-		h := embed.Histogram
+		h := histogram
 
 		base, _ := minic.CompileSource(src, "base")
 		fla, _ := minic.CompileSource(src, "fla")
@@ -397,7 +402,7 @@ func BenchmarkAblationHistogramBuckets(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h := embed.Histogram(m)
+			h := histogram(m)
 			if full {
 				X[i] = h
 			} else {
@@ -449,7 +454,7 @@ func BenchmarkAblationForestSize(b *testing.B) {
 				var ytr []int
 				for _, s := range train {
 					m, _ := minic.CompileSource(s.Source, "x")
-					Xtr = append(Xtr, embed.Histogram(m))
+					Xtr = append(Xtr, histogram(m))
 					ytr = append(ytr, s.Class)
 				}
 				model := ml.NewRandomForest(trees, 0, rng)
@@ -459,7 +464,7 @@ func BenchmarkAblationForestSize(b *testing.B) {
 				hits := 0
 				for _, s := range test {
 					m, _ := minic.CompileSource(s.Source, "x")
-					if model.Predict(embed.Histogram(m)) == s.Class {
+					if model.Predict(histogram(m)) == s.Class {
 						hits++
 					}
 				}

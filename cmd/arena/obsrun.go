@@ -123,10 +123,9 @@ func printObsFooter(wall time.Duration, d obs.Snapshot) {
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
 	}
-	fmt.Printf("progcache: %d hits / %d misses (%.1f%% hit rate), %d modules cached, compile %v, clone %v, thaw %v (%d)\n",
+	fmt.Printf("progcache: %d hits / %d misses (%.1f%% hit rate), %d modules cached, compile %v, thaw %v (%d)\n",
 		hits, misses, 100*ratio, progcache.Snapshot().Entries,
 		d.Timers["progcache.compile"].Total().Round(time.Millisecond),
-		d.Timers["progcache.clone"].Total().Round(time.Millisecond),
 		d.Timers["progcache.thaw"].Total().Round(time.Millisecond),
 		d.Counters["progcache.thaw.hits"])
 	simdCalls := d.Counters["linalg.gemm_nt.simd"] + d.Counters["linalg.gemm_nn.simd"] +

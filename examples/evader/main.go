@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/minic"
 )
 
@@ -30,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	h0 := embed.Histogram(base)
+	h0 := embed.HistogramFlat(ir.Flatten(base))
 	r0, err := interp.Run(base, interp.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -52,7 +53,7 @@ func main() {
 			log.Fatalf("%s changed the program's behaviour!", tr)
 		}
 		fmt.Fprintf(w, "%s\t%d\t%.1f\t%d\t%.2fx\t%d\n",
-			tr, m.NumInstrs(), embed.Distance(h0, embed.Histogram(m)),
+			tr, m.NumInstrs(), embed.Distance(h0, embed.HistogramFlat(ir.Flatten(m))),
 			res.Steps, float64(res.Steps)/float64(r0.Steps), res.Ret)
 	}
 	w.Flush()

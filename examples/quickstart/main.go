@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/embed"
+	"repro/internal/ir"
 	"repro/internal/minic"
 )
 
@@ -28,7 +29,7 @@ func main() {
 		len(mod.Functions), mod.NumInstrs())
 
 	// 2. Embed it: the 63-dimensional opcode histogram.
-	hist := embed.Histogram(mod)
+	hist := embed.HistogramFlat(ir.Flatten(mod))
 	nonzero := 0
 	for _, v := range hist {
 		if v > 0 {

@@ -75,20 +75,21 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunThawCloneInvariance is the arena half of the thaw equivalence
+// TestRunCachedUncachedInvariance is the arena half of the thaw equivalence
 // contract: a fixed-seed co-evolution run must produce an identical manifest
-// (generation results and final snapshot) whether module copies come from
-// ir.Thaw or from the deep-clone fallback, at 1, 4 and 8 workers.
-func TestRunThawCloneInvariance(t *testing.T) {
-	defer progcache.SetThaw(true)
+// (generation results and final snapshot) whether module copies are thawed
+// from cached flat views or compiled afresh with the cache disabled, at 1, 4
+// and 8 workers.
+func TestRunCachedUncachedInvariance(t *testing.T) {
+	defer progcache.SetEnabled(true)
 	set := testSet(t)
 	var base *Result
 	for _, workers := range []int{1, 4, 8} {
-		for _, thaw := range []bool{true, false} {
-			progcache.SetThaw(thaw)
+		for _, cached := range []bool{true, false} {
+			progcache.SetEnabled(cached)
 			res, err := Run(testConfig(set, workers))
 			if err != nil {
-				t.Fatalf("Run(workers=%d, thaw=%v): %v", workers, thaw, err)
+				t.Fatalf("Run(workers=%d, cached=%v): %v", workers, cached, err)
 			}
 			res = stripVolatile(res)
 			if base == nil {
@@ -96,10 +97,10 @@ func TestRunThawCloneInvariance(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(base.Generations, res.Generations) {
-				t.Fatalf("workers=%d thaw=%v diverged:\n  base: %+v\n  got:  %+v", workers, thaw, base.Generations, res.Generations)
+				t.Fatalf("workers=%d cached=%v diverged:\n  base: %+v\n  got:  %+v", workers, cached, base.Generations, res.Generations)
 			}
 			if !bytes.Equal(base.FinalSnapshot, res.FinalSnapshot) {
-				t.Fatalf("workers=%d thaw=%v produced a different final snapshot", workers, thaw)
+				t.Fatalf("workers=%d cached=%v produced a different final snapshot", workers, cached)
 			}
 		}
 	}

@@ -119,27 +119,17 @@ type ExecObs struct {
 // past it reports a budget trap instead of stalling the server.
 const ExecMaxSteps = 16 << 20
 
-// TransformEmbedRun is TransformEmbed plus execution of the transformed
-// module on the named engine ("" = tree interpreter, "vm" = compiled
-// bytecode). Traps are reported in the observation, not as an error: a
-// trapping evaded program is still a servable result.
-func TransformEmbedRun(src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
-	return transformEmbedRun(Transform, src, evader, embedding, seed, engine)
-}
-
-// TransformEmbedRunUntrusted is TransformEmbedRun over the bounded
-// untrusted compile tier — the serve-path variant for client-supplied
-// sources.
+// TransformEmbedRunUntrusted is TransformEmbedUntrusted plus execution of
+// the transformed module on the named engine ("" = tree interpreter, "vm" =
+// compiled bytecode) — the serve-path call for client-supplied sources.
+// Traps are reported in the observation, not as an error: a trapping
+// evaded program is still a servable result.
 func TransformEmbedRunUntrusted(src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
-	return transformEmbedRun(TransformUntrusted, src, evader, embedding, seed, engine)
-}
-
-func transformEmbedRun(transform func(src, name string, rng *rand.Rand) (*ir.Module, error), src, evader, embedding string, seed int64, engine string) (string, embed.Vector, *ExecObs, error) {
 	eng, err := interp.EngineByName(engine)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	m, v, err := transformEmbedModule(transform, src, evader, embedding, seed)
+	m, v, err := transformEmbedModule(TransformUntrusted, src, evader, embedding, seed)
 	if err != nil {
 		return "", nil, nil, err
 	}

@@ -88,13 +88,14 @@ func TestRunRoundsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRunRoundsThawCloneInvariance is the round-level half of the thaw
+// TestRunRoundsCachedUncachedInvariance is the round-level half of the thaw
 // equivalence contract: with a fixed seed, RunRoundsN must produce
 // bit-identical per-round results and summaries whether the transform
-// pipeline draws its private module copies from ir.Thaw (the default) or
-// from the deep-clone fallback (SetThaw(false)) — at 1, 4 and 8 workers.
-func TestRunRoundsThawCloneInvariance(t *testing.T) {
-	defer progcache.SetThaw(true)
+// pipeline draws its private module copies from cached flat views
+// (ir.Thaw) or compiles every copy afresh (cache disabled) — at 1, 4 and 8
+// workers.
+func TestRunRoundsCachedUncachedInvariance(t *testing.T) {
+	defer progcache.SetEnabled(true)
 	set := smallSet(t, 4, 8, 36)
 	cfg := core.GameConfig{
 		Game:     1,
@@ -107,9 +108,9 @@ func TestRunRoundsThawCloneInvariance(t *testing.T) {
 		res []core.GameResult
 		sum stats.Summary
 	}
-	runAt := func(workers int, thaw bool) run {
+	runAt := func(workers int, cached bool) run {
 		t.Helper()
-		progcache.SetThaw(thaw)
+		progcache.SetEnabled(cached)
 		res, sum, err := core.RunRoundsN(set, cfg, rounds, workers)
 		if err != nil {
 			t.Fatal(err)
@@ -124,11 +125,11 @@ func TestRunRoundsThawCloneInvariance(t *testing.T) {
 	}
 	ref := runAt(1, true)
 	for _, workers := range []int{1, 4, 8} {
-		for _, thaw := range []bool{true, false} {
-			got := runAt(workers, thaw)
+		for _, cached := range []bool{true, false} {
+			got := runAt(workers, cached)
 			if !reflect.DeepEqual(got.res, ref.res) || got.sum != ref.sum {
-				t.Fatalf("workers=%d thaw=%v diverged from the thaw-backed serial run:\n  got:  %+v %+v\n  want: %+v %+v",
-					workers, thaw, got.res, got.sum, ref.res, ref.sum)
+				t.Fatalf("workers=%d cached=%v diverged from the cached serial run:\n  got:  %+v %+v\n  want: %+v %+v",
+					workers, cached, got.res, got.sum, ref.res, ref.sum)
 			}
 		}
 	}

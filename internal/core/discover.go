@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
+	"repro/internal/ir"
 	"repro/internal/ml"
 	"repro/internal/stats"
 )
@@ -70,7 +71,7 @@ func Discover(cfg DiscoverConfig) (*DiscoverResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: discover %s: %w", name, err)
 			}
-			all = append(all, labelled{vec: embed.Histogram(m), label: t})
+			all = append(all, labelled{vec: embed.HistogramFlat(ir.Flatten(m)), label: t})
 		}
 	}
 	// Stratified 80/20 split, like the paper's 400/100.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
+	"repro/internal/ir"
 	"repro/internal/progcache"
 	"repro/internal/stats"
 )
@@ -38,7 +39,7 @@ func DistanceAnalysis(samples []dataset.Sample, transforms []string, seed int64)
 			if err != nil {
 				return nil, err
 			}
-			dists = append(dists, embed.Distance(h0, embed.Histogram(m)))
+			dists = append(dists, embed.Distance(h0, embed.HistogramFlat(ir.Flatten(m))))
 		}
 		results = append(results, DistanceResult{Transform: tr, Summary: stats.Summarize(dists)})
 	}

@@ -62,9 +62,8 @@ func ValidateEvader(name string) error {
 //
 // The O0 compile of src is served from the process-wide progcache; every
 // branch that mutates the module works on a private copy thawed from the
-// cached flat view (progcache.CompileThaw — falling back to the deep clone
-// when the thaw path is toggled off), so repeated transforms of the same
-// source skip both the front end and the pointer-graph copy.
+// cached flat view (progcache.CompileThaw), so repeated transforms of the
+// same source skip the front end and pay only an arena rebuild.
 func Transform(src, name string, rng *rand.Rand) (*ir.Module, error) {
 	return transformFrom(progcache.CompileThaw, src, name, rng)
 }

@@ -59,19 +59,16 @@ func BenchmarkGraphBuilders(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphBuildersPointer is the legacy pointer-walking path, kept as
-// the baseline the flat builders are measured against in BENCH_ir.json.
+// BenchmarkGraphBuildersPointer measures the pointer-IR oracles, the
+// baseline the flat builders are measured against in BENCH_ir.json.
 func BenchmarkGraphBuildersPointer(b *testing.B) {
 	m := benchModule(b)
 	for _, name := range graphBuilderNames {
-		emb, err := embed.Get(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+		build := embed.PointerGraph[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				emb.Graph(m)
+				build(m)
 			}
 		})
 	}
@@ -87,7 +84,8 @@ func BenchmarkHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramPointer is the pointer-IR baseline for BenchmarkHistogram.
+// BenchmarkHistogramPointer is the pointer-IR oracle's baseline for
+// BenchmarkHistogram.
 func BenchmarkHistogramPointer(b *testing.B) {
 	m := benchModule(b)
 	b.ReportAllocs()
@@ -131,6 +129,8 @@ func BenchmarkVectorBuilders(b *testing.B) {
 // way featurize workers do. Before the sync.Map fix, a global mutex held
 // across the whole vector generation serialized every worker, so this bench
 // barely scaled; with the lock-free read path it scales with GOMAXPROCS.
+// It runs the pointer-IR oracle, which resolves a seed vector per token on
+// every instruction and so stresses the cache far harder than IR2VecFlat.
 func BenchmarkIR2VecParallel(b *testing.B) {
 	m := benchModule(b)
 	b.ResetTimer()

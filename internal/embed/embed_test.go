@@ -34,7 +34,7 @@ func mod(t *testing.T, src string) *ir.Module {
 
 func TestHistogramDimensionAndCounts(t *testing.T) {
 	m := mod(t, sample)
-	h := embed.Histogram(m)
+	h := embed.HistogramFlat(ir.Flatten(m))
 	if len(h) != int(ir.NumOpcodes) {
 		t.Fatalf("histogram length %d, want %d", len(h), ir.NumOpcodes)
 	}
@@ -54,7 +54,7 @@ func TestHistogramDimensionAndCounts(t *testing.T) {
 }
 
 func TestAllEmbeddingsProduceOutput(t *testing.T) {
-	m := mod(t, sample)
+	fl := ir.Flatten(mod(t, sample))
 	for _, name := range embed.Names() {
 		e, err := embed.Get(name)
 		if err != nil {
@@ -62,7 +62,7 @@ func TestAllEmbeddingsProduceOutput(t *testing.T) {
 		}
 		switch e.Kind {
 		case embed.VectorKind:
-			v := e.Vec(m)
+			v := e.VecFlat(fl)
 			if len(v) == 0 {
 				t.Errorf("%s: empty vector", name)
 			}
@@ -76,7 +76,7 @@ func TestAllEmbeddingsProduceOutput(t *testing.T) {
 				t.Errorf("%s: all-zero vector", name)
 			}
 		case embed.GraphKind:
-			g := e.Graph(m)
+			g := e.GraphFlat(fl)
 			if g.NumNodes() == 0 {
 				t.Errorf("%s: empty graph", name)
 			}
@@ -108,11 +108,11 @@ func TestUnknownEmbedding(t *testing.T) {
 }
 
 func TestEmbeddingsAreDeterministic(t *testing.T) {
-	m := mod(t, sample)
+	fl := ir.Flatten(mod(t, sample))
 	for _, name := range embed.VectorNames() {
 		e, _ := embed.Get(name)
-		a := e.Vec(m)
-		b := e.Vec(m)
+		a := e.VecFlat(fl)
+		b := e.VecFlat(fl)
 		if embed.Distance(a, b) != 0 {
 			t.Errorf("%s: nondeterministic embedding", name)
 		}
@@ -120,9 +120,9 @@ func TestEmbeddingsAreDeterministic(t *testing.T) {
 }
 
 func TestCFGCompactSmallerThanCFG(t *testing.T) {
-	m := mod(t, sample)
-	full := embed.CFG(m)
-	compact := embed.CFGCompact(m)
+	fl := ir.Flatten(mod(t, sample))
+	full := embed.CFGFlat(fl)
+	compact := embed.CFGCompactFlat(fl)
 	if compact.NumNodes() >= full.NumNodes() {
 		t.Fatalf("compact (%d nodes) should be smaller than full (%d nodes)",
 			compact.NumNodes(), full.NumNodes())
@@ -130,9 +130,9 @@ func TestCFGCompactSmallerThanCFG(t *testing.T) {
 }
 
 func TestCDFGHasDataEdges(t *testing.T) {
-	m := mod(t, sample)
-	cfg := embed.CFG(m)
-	cdfg := embed.CDFG(m)
+	fl := ir.Flatten(mod(t, sample))
+	cfg := embed.CFGFlat(fl)
+	cdfg := embed.CDFGFlat(fl)
 	if len(cdfg.Edges) <= len(cfg.Edges) {
 		t.Fatal("cdfg should add data edges over cfg")
 	}
@@ -148,8 +148,7 @@ func TestCDFGHasDataEdges(t *testing.T) {
 }
 
 func TestCDFGPlusHasCallEdges(t *testing.T) {
-	m := mod(t, sample)
-	g := embed.CDFGPlus(m)
+	g := embed.CDFGPlusFlat(ir.Flatten(mod(t, sample)))
 	hasCall := false
 	for _, et := range g.EdgeTypes {
 		if et == embed.CallEdge {
@@ -162,9 +161,9 @@ func TestCDFGPlusHasCallEdges(t *testing.T) {
 }
 
 func TestProGraMLHasValueNodes(t *testing.T) {
-	m := mod(t, sample)
-	instrGraph := embed.CDFG(m)
-	g := embed.ProGraML(m)
+	fl := ir.Flatten(mod(t, sample))
+	instrGraph := embed.CDFGFlat(fl)
+	g := embed.ProGraMLFlat(fl)
 	if g.NumNodes() <= instrGraph.NumNodes() {
 		t.Fatal("programl should add value nodes beyond instruction nodes")
 	}
@@ -179,7 +178,7 @@ func TestObfuscationMovesHistogram(t *testing.T) {
 	if err := obfus.Apply(m2, "ollvm", rand.New(rand.NewSource(3))); err != nil {
 		t.Fatal(err)
 	}
-	d := embed.Distance(embed.Histogram(m1), embed.Histogram(m2))
+	d := embed.Distance(embed.HistogramFlat(ir.Flatten(m1)), embed.HistogramFlat(ir.Flatten(m2)))
 	if d == 0 {
 		t.Fatal("ollvm left the histogram unchanged")
 	}
@@ -219,8 +218,8 @@ func TestDistanceHandlesLengthMismatch(t *testing.T) {
 func TestMilepostCapturesLoops(t *testing.T) {
 	loopy := mod(t, `int main() { int s=0; for (int i=0;i<9;i++) for (int j=0;j<9;j++) s+=i*j; return s; }`)
 	straight := mod(t, `int main() { return 1+2+3; }`)
-	vl := embed.Milepost(loopy)
-	vs := embed.Milepost(straight)
+	vl := embed.MilepostFlat(ir.Flatten(loopy))
+	vs := embed.MilepostFlat(ir.Flatten(straight))
 	if vl[13] <= vs[13] { // feature 13 = number of natural loops
 		t.Fatalf("milepost loop count: loopy %v <= straight %v", vl[13], vs[13])
 	}

@@ -6,18 +6,19 @@ import (
 	"repro/internal/ir"
 )
 
-// This file rebuilds every embedding on the struct-of-arrays ir.Flat view.
-// Each builder is the flat twin of its pointer sibling in embed.go and
-// produces byte-identical output (the flat_equiv_test suite pins this);
-// the payoff is the allocation profile: node indices are instruction
-// indices, so there is no per-call map[*ir.Instr]int, every slice is sized
-// by an exact counting pass over the dense tables, and the few builders
-// that need real scratch (programl's value-node tables, milepost's
-// dominator arrays, ir2vec's per-type vector cache) draw it from
+// This file builds every embedding on the struct-of-arrays ir.Flat view.
+// Each builder produces byte-identical output to its pointer-IR oracle in
+// oracle_test.go (the flat_equiv_test suite pins this). Node indices are
+// instruction indices, so there is no per-call map[*ir.Instr]int, every
+// slice is sized by an exact counting pass over the dense tables, and the
+// few builders that need real scratch (programl's value-node tables,
+// milepost's dominator arrays, ir2vec's per-type vector cache) draw it from
 // sync.Pools.
 
-// HistogramFlat is Histogram on the flat view: one pass over the dense
-// opcode column.
+// HistogramFlat returns the 63-dimensional opcode histogram — "a vector of
+// 63 positions counting instruction opcodes" — in one pass over the dense
+// opcode column. Despite its simplicity the paper finds it competitive with
+// every learned representation.
 func HistogramFlat(fl *ir.Flat) Vector {
 	v := make(Vector, ir.NumOpcodes)
 	for _, op := range fl.Ops {
@@ -44,8 +45,9 @@ func countControlEdges(fl *ir.Flat) int {
 	return n
 }
 
-// appendControlEdges is addControlEdges on the flat view: node index ==
-// module-wide instruction index.
+// appendControlEdges appends instruction-level control-flow edges:
+// sequential flow inside blocks plus terminator-to-target-head edges. Node
+// index == module-wide instruction index.
 func appendControlEdges(g *Graph, fl *ir.Flat) {
 	for bi := range fl.Blocks {
 		b := &fl.Blocks[bi]
@@ -61,10 +63,9 @@ func appendControlEdges(g *Graph, fl *ir.Flat) {
 	}
 }
 
-// dataEdgeSource maps an operand to its def node, mirroring the pointer
-// builders' `a.(*ir.Instr)` type switch: an in-module instruction is its
-// own index; a detached instruction degrades to node 0 exactly like the
-// pointer path's zero-value map lookup (out-of-contract IR only).
+// dataEdgeSource maps an operand to its def node: an in-module instruction
+// is its own index; a detached instruction degrades to node 0 exactly like
+// the pointer oracle's zero-value map lookup (out-of-contract IR only).
 func dataEdgeSource(a ir.Operand) (int, bool) {
 	switch a.Kind {
 	case ir.OperInstr:
@@ -86,7 +87,7 @@ func countDataEdges(fl *ir.Flat) int {
 	return n
 }
 
-// appendDataEdges is addDataEdges on the flat view.
+// appendDataEdges appends def-use edges between instruction nodes.
 func appendDataEdges(g *Graph, fl *ir.Flat) {
 	n := int32(fl.NumInstrs())
 	for i := int32(0); i < n; i++ {
@@ -108,7 +109,8 @@ func newGraph(n, dim, ne int) *Graph {
 	}
 }
 
-// CFGFlat is CFG on the flat view.
+// CFGFlat is Brauckmann et al.'s control-flow graph: one node per
+// instruction with a one-hot opcode feature, control-flow edges only.
 func CFGFlat(fl *ir.Flat) *Graph {
 	n := fl.NumInstrs()
 	g := newGraph(n, int(ir.NumOpcodes), countControlEdges(fl))
@@ -130,8 +132,9 @@ func blockFeats(g *Graph, fl *ir.Flat) {
 	}
 }
 
-// CFGCompactFlat is CFGCompact on the flat view: node index == module-wide
-// block index (the same order the pointer builder assigns).
+// CFGCompactFlat groups instructions into basic blocks: one node per block
+// (node index == module-wide block index) with an opcode-histogram feature,
+// CFG edges between blocks.
 func CFGCompactFlat(fl *ir.Flat) *Graph {
 	ne := 0
 	for bi := range fl.Blocks {
@@ -147,7 +150,7 @@ func CFGCompactFlat(fl *ir.Flat) *Graph {
 	return g
 }
 
-// CDFGFlat is CDFG on the flat view.
+// CDFGFlat adds data-flow (def-use) edges to CFGFlat.
 func CDFGFlat(fl *ir.Flat) *Graph {
 	n := fl.NumInstrs()
 	g := newGraph(n, int(ir.NumOpcodes), countControlEdges(fl)+countDataEdges(fl))
@@ -164,9 +167,10 @@ var seenPool = sync.Pool{
 	New: func() any { return make(map[[2]int32]bool, 64) },
 }
 
-// CDFGCompactFlat is CDFGCompact on the flat view. The per-block edge
-// interleaving (successor edges, then first-discovery cross-block data
-// edges) matches the pointer builder exactly; the dedup set is pooled.
+// CDFGCompactFlat is the block-level variant of CDFGFlat: block nodes with
+// histogram features, control edges, plus data edges between blocks that
+// communicate through SSA values. Each block emits its successor edges,
+// then its first-discovery cross-block data edges; the dedup set is pooled.
 func CDFGCompactFlat(fl *ir.Flat) *Graph {
 	seen := seenPool.Get().(map[[2]int32]bool)
 	ne := 0
@@ -240,7 +244,9 @@ func callTarget(fl *ir.Flat, i int32) int32 {
 	return entry.Ins0
 }
 
-// CDFGPlusFlat is CDFGPlus on the flat view.
+// CDFGPlusFlat extends CDFGFlat with call edges (call site to callee entry
+// and callee returns back to the call site) and memory edges linking allocas
+// to the loads and stores that touch them.
 func CDFGPlusFlat(fl *ir.Flat) *Graph {
 	n := int32(fl.NumInstrs())
 	ne := countControlEdges(fl) + countDataEdges(fl)
@@ -333,7 +339,7 @@ func grabI32(buf []int32, n int, fill int32) []int32 {
 }
 
 // programlValueSlot maps an operand to its slot in the scratch tables, with
-// the value-node category, mirroring the pointer builder's key scheme:
+// the value-node category, mirroring the pointer oracle's key scheme:
 // constants merge by rendered form (ConstAlias), parameters are distinct
 // per object, globals merge by name. Slot -1 means "no value node"
 // (instruction operands, function references).
@@ -351,10 +357,13 @@ func programlValueSlot(fl *ir.Flat, sc *programlScratch, a ir.Operand) (table []
 	return nil, -1, 0
 }
 
-// ProGraMLFlat is ProGraML on the flat view. Two passes over the
-// instruction table — one counting value nodes and edges, one assigning
-// node ids in the same first-use order the pointer builder's lazy map
-// produces — let every output slice be allocated exactly once.
+// ProGraMLFlat builds the full program graph of Cummins et al.: instruction
+// nodes plus distinct value nodes (constants, parameters, globals), with
+// control, data and call edges. Node features are a one-hot over
+// NumOpcodes+3 categories (instructions by opcode; constants, parameters
+// and globals as three extra categories). Two passes over the instruction
+// table — one counting value nodes and edges, one assigning node ids in
+// first-use order — let every output slice be allocated exactly once.
 func ProGraMLFlat(fl *ir.Flat) *Graph {
 	n := int32(fl.NumInstrs())
 	dim := int(ir.NumOpcodes) + 3

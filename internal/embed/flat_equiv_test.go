@@ -15,8 +15,8 @@ import (
 	"repro/internal/progen"
 )
 
-// The flat builders must produce byte-identical output to the pointer
-// builders for every embedding: identical node order, edge order, edge
+// The flat builders must produce byte-identical output to their pointer-IR
+// oracles (oracle_test.go) for every embedding: identical node order, edge order, edge
 // types and bit-for-bit identical feature values. These tests pin that over
 // hand-written samples, shrunk fuzz crashers, a 200-program generated
 // corpus, and optimized/obfuscated variants of a corpus subset.
@@ -51,7 +51,7 @@ func graphsIdentical(a, b *embed.Graph) bool {
 	return true
 }
 
-// checkFlatEquiv runs every registered embedding both ways on m.
+// checkFlatEquiv runs every registered embedding and its oracle on m.
 func checkFlatEquiv(t *testing.T, label string, m *ir.Module) {
 	t.Helper()
 	fl := ir.Flatten(m)
@@ -62,12 +62,12 @@ func checkFlatEquiv(t *testing.T, label string, m *ir.Module) {
 		}
 		switch e.Kind {
 		case embed.VectorKind:
-			ref, got := e.Vec(m), e.VecFlat(fl)
+			ref, got := embed.PointerVec[name](m), e.VecFlat(fl)
 			if !vecsIdentical(ref, got) {
 				t.Errorf("%s: %s: flat vector differs from pointer vector", label, name)
 			}
 		case embed.GraphKind:
-			ref, got := e.Graph(m), e.GraphFlat(fl)
+			ref, got := embed.PointerGraph[name](m), e.GraphFlat(fl)
 			if !graphsIdentical(ref, got) {
 				t.Errorf("%s: %s: flat graph differs from pointer graph (nodes %d/%d, edges %d/%d)",
 					label, name, ref.NumNodes(), got.NumNodes(), len(ref.Edges), len(got.Edges))

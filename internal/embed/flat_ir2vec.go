@@ -7,9 +7,8 @@ import (
 )
 
 // ir2vecVocab holds the seed vectors of every fixed vocabulary token —
-// opcodes, comparison predicates and operand kinds — resolved once: the
-// pointer builder re-concatenates and re-hashes the token strings on every
-// instruction, which is most of its cost.
+// opcodes, comparison predicates and operand kinds — resolved once, so no
+// token string is concatenated or hashed per instruction.
 var ir2vecVocab struct {
 	once sync.Once
 	opc  [ir.NumOpcodes][]float64
@@ -24,8 +23,8 @@ func ir2vecVocabInit() {
 	for p := range ir2vecVocab.pred {
 		ir2vecVocab.pred[p] = seedVec("pred:" + ir.CmpPred(p).String())
 	}
-	// argKind buckets: instructions (and anything unrecognized) embed as
-	// "ssa", exactly like the pointer builder's default case.
+	// Operand-kind buckets: instructions (and anything unrecognized) embed
+	// as "ssa", exactly like the pointer oracle's default case.
 	ssa := seedVec("arg:ssa")
 	param := seedVec("arg:param")
 	ir2vecVocab.kind[ir.OperInstr] = ssa
@@ -47,9 +46,10 @@ type ir2vecScratch struct {
 
 var ir2vecPool = sync.Pool{New: func() any { return new(ir2vecScratch) }}
 
-// IR2VecFlat is IR2Vec on the flat view: the identical weighted sum in the
-// identical accumulation order (bit-for-bit equal vectors), streaming the
-// dense instruction table with no per-instruction string building.
+// IR2VecFlat implements the symbolic flavour of IR2Vec: every opcode, type
+// and operand kind has a deterministic seed vector; an instruction embeds as
+// a weighted sum (w_opc=1, w_type=0.5, w_arg=0.2); the program embedding is
+// the sum over all instructions, streamed from the dense instruction table.
 func IR2VecFlat(fl *ir.Flat) Vector {
 	ir2vecVocab.once.Do(ir2vecVocabInit)
 	sc := ir2vecPool.Get().(*ir2vecScratch)

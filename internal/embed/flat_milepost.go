@@ -28,9 +28,10 @@ type milepostScratch struct {
 
 var milepostPool = sync.Pool{New: func() any { return new(milepostScratch) }}
 
-// MilepostFlat is Milepost on the flat view: identical 56 features, with
-// the dominator tree and natural loops computed on index arrays drawn from
-// a sync.Pool instead of per-call maps.
+// MilepostFlat computes a Milepost-GCC-style vector of 56 static code
+// features (instruction category counts, CFG shape, loop structure, memory
+// traffic), with the dominator tree and natural loops computed on index
+// arrays drawn from a sync.Pool instead of per-call maps.
 func MilepostFlat(fl *ir.Flat) Vector {
 	const dim = 56
 	v := make(Vector, dim)
@@ -308,7 +309,8 @@ func flatLoops(fl *ir.Flat, f *ir.FlatFunc, sc *milepostScratch, npred int) (int
 	return nLoops, sizes
 }
 
-// classifyInstrFlat is classifyInstr on the flat view.
+// classifyInstrFlat adds instruction i's category and operand-census
+// features.
 func classifyInstrFlat(fl *ir.Flat, i int32, set func(int, float64)) {
 	set(18, 1) // total instructions
 	op := fl.Op(i)

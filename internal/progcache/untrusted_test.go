@@ -30,7 +30,7 @@ func TestUntrustedTierIsBounded(t *testing.T) {
 	resetUntrustedCap(t)
 	SetUntrustedCap(4)
 	for i := 0; i < 10; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileThawUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestUntrustedTierIsBounded(t *testing.T) {
 
 	// LRU semantics: the most recent 4 survive, hit without compiling.
 	for i := 6; i < 10; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileThawUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,12 +67,12 @@ func TestUntrustedTierIsBounded(t *testing.T) {
 func TestUntrustedFailuresNeverRetained(t *testing.T) {
 	resetUntrustedCap(t)
 	SetUntrustedCap(4)
-	if _, err := CompileUntrusted(srcFor(0), "m"); err != nil {
+	if _, err := CompileThawUntrusted(srcFor(0), "m"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		bad := fmt.Sprintf("int main( { %d", i)
-		if _, err := CompileUntrusted(bad, "m"); err == nil {
+		if _, err := CompileThawUntrusted(bad, "m"); err == nil {
 			t.Fatal("garbage source compiled")
 		}
 	}
@@ -84,7 +84,7 @@ func TestUntrustedFailuresNeverRetained(t *testing.T) {
 		t.Fatalf("garbage evicted %d good entries", st.UntrustedEvicted)
 	}
 	// The surviving good entry still hits.
-	if _, err := CompileUntrusted(srcFor(0), "m"); err != nil {
+	if _, err := CompileThawUntrusted(srcFor(0), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if got := Snapshot(); got.UntrustedHits != 1 {
@@ -97,15 +97,15 @@ func TestUntrustedFailuresNeverRetained(t *testing.T) {
 func TestUntrustedDelegatesToPinned(t *testing.T) {
 	resetUntrustedCap(t)
 	src := srcFor(42)
-	if _, err := Compile(src, "pinned"); err != nil {
+	if _, err := CompileThaw(src, "pinned"); err != nil {
 		t.Fatal(err)
 	}
-	mod, err := CompileUntrusted(src, "wire")
+	mod, err := CompileThawUntrusted(src, "wire")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mod.Name != "wire" {
-		t.Fatalf("clone not renamed: %q", mod.Name)
+		t.Fatalf("copy not renamed: %q", mod.Name)
 	}
 	st := Snapshot()
 	if st.UntrustedHits != 1 || st.UntrustedMisses != 0 {
@@ -122,7 +122,7 @@ func TestUntrustedCapZeroBypasses(t *testing.T) {
 	resetUntrustedCap(t)
 	SetUntrustedCap(0)
 	for i := 0; i < 3; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileThawUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestUntrustedCapZeroBypasses(t *testing.T) {
 	// And shrinking the cap under live entries evicts immediately.
 	SetUntrustedCap(8)
 	for i := 0; i < 8; i++ {
-		if _, err := CompileUntrusted(srcFor(i), "m"); err != nil {
+		if _, err := CompileThawUntrusted(srcFor(i), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,13 +142,13 @@ func TestUntrustedCapZeroBypasses(t *testing.T) {
 	}
 }
 
-// TestUntrustedFlatSharesModule: CompileFlatUntrusted reuses the module a
-// plain CompileUntrusted cached and attaches the flat view lazily; a second
-// flat call returns the same shared view without another flatten.
+// TestUntrustedFlatSharesModule: CompileFlatUntrusted reuses the flat view
+// a CompileThawUntrusted cached; a second flat call returns the same shared
+// view without another compile or flatten.
 func TestUntrustedFlatSharesModule(t *testing.T) {
 	resetUntrustedCap(t)
 	src := srcFor(7)
-	if _, err := CompileUntrusted(src, "m"); err != nil {
+	if _, err := CompileThawUntrusted(src, "m"); err != nil {
 		t.Fatal(err)
 	}
 	f1, err := CompileFlatUntrusted(src, "m")
@@ -162,8 +162,9 @@ func TestUntrustedFlatSharesModule(t *testing.T) {
 	if f1 != f2 {
 		t.Fatal("flat view rebuilt instead of shared")
 	}
-	if st := Snapshot(); st.UntrustedEntries != 1 {
-		t.Fatalf("flat path grew the tier to %d entries", st.UntrustedEntries)
+	if st := Snapshot(); st.UntrustedEntries != 1 || st.UntrustedMisses != 1 {
+		t.Fatalf("flat path grew the tier to %d entries over %d misses, want 1/1",
+			st.UntrustedEntries, st.UntrustedMisses)
 	}
 }
 
@@ -182,7 +183,7 @@ func TestUntrustedConcurrentChurn(t *testing.T) {
 				src := srcFor((w + i) % 10)
 				var err error
 				if i%2 == 0 {
-					_, err = CompileUntrusted(src, "m")
+					_, err = CompileThawUntrusted(src, "m")
 				} else {
 					_, err = CompileFlatUntrusted(src, "m")
 				}
@@ -202,31 +203,30 @@ func TestUntrustedConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestUntrustedThawMatchesClone pins CompileThawUntrusted against
-// CompileUntrusted on both tiers: a fresh wire source (LRU-backed) and a
-// harness-pinned one (main-cache-backed) must thaw to modules that print
-// identically to the clone path and stay private.
+// TestUntrustedThawMatchesClone pins CompileThawUntrusted against a deep
+// clone of a fresh compile on both tiers: a fresh wire source (LRU-backed)
+// and a harness-pinned one (main-cache-backed) must thaw to modules that
+// print identically to the clone and stay private.
 func TestUntrustedThawMatchesClone(t *testing.T) {
 	resetUntrustedCap(t)
 
-	// LRU-backed: first call compiles+flattens into the bounded tier.
-	cl, err := CompileUntrusted(srcFor(1), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := CompileThawUntrusted(srcFor(1), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th == cl || th.String() != cl.String() {
-		t.Fatal("untrusted thaw diverged from untrusted clone")
+	// LRU-backed: the first call compiles+flattens into the bounded tier,
+	// the second thaws from the cached view.
+	for i := 0; i < 2; i++ {
+		th, err := CompileThawUntrusted(srcFor(1), "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if th.String() != cloneOracle(t, srcFor(1), "m").String() {
+			t.Fatalf("call %d: untrusted thaw diverged from the clone oracle", i)
+		}
 	}
 	if st := Snapshot(); st.Entries != 0 {
 		t.Fatalf("untrusted thaw leaked %d entries into the pinned cache", st.Entries)
 	}
 
 	// Pinned-backed: the main cache's flat view serves the thaw.
-	if _, err := Compile(srcFor(2), "m"); err != nil {
+	if _, err := CompileThaw(srcFor(2), "m"); err != nil {
 		t.Fatal(err)
 	}
 	th2, err := CompileThawUntrusted(srcFor(2), "m")
@@ -238,25 +238,15 @@ func TestUntrustedThawMatchesClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := shared.String()
-	if th2.String() != before {
+	if th2.String() != before || before != cloneOracle(t, srcFor(2), "m").String() {
 		t.Fatal("pinned-backed thaw diverged from the master")
 	}
 	th2.Functions[0].Blocks = nil
 	if shared.String() != before {
 		t.Fatal("mutating an untrusted thaw changed the pinned master")
 	}
-	if st := Snapshot(); st.ThawHits != 2 {
-		t.Fatalf("want 2 thaw hits, got %+v", st)
-	}
-
-	// Disabled thaw path degrades to clone semantics.
-	SetThaw(false)
-	defer SetThaw(true)
-	m, err := CompileThawUntrusted(srcFor(1), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
+	// Two LRU-backed thaws, the pinning CompileThaw and the pinned-backed one.
+	if st := Snapshot(); st.ThawHits != 4 {
+		t.Fatalf("want 4 thaw hits, got %+v", st)
 	}
 }

@@ -259,19 +259,40 @@ func (s *Server) guard(op string, h func(http.ResponseWriter, *http.Request) err
 		defer s.inflight.Add(-1)
 		start := time.Now()
 		defer func() { lat.Observe(time.Since(start)) }()
+		hw := &headerWatch{ResponseWriter: w}
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.errors.Add(1)
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("panic: %v", rec))
+				if !hw.sent {
+					writeError(w, http.StatusInternalServerError, fmt.Sprintf("panic: %v", rec))
+				}
 			}
 		}()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		if err := h(w, r.WithContext(ctx)); err != nil {
+		if err := h(hw, r.WithContext(ctx)); err != nil {
 			s.errors.Add(1)
 			writeError(w, statusForError(err), err.Error())
 		}
 	})
+}
+
+// headerWatch records whether a handler has committed the response header.
+// After that no error status can be sent: a second WriteHeader is dropped
+// by net/http with a "superfluous response.WriteHeader" log line.
+type headerWatch struct {
+	http.ResponseWriter
+	sent bool
+}
+
+func (w *headerWatch) WriteHeader(status int) {
+	w.sent = true
+	w.ResponseWriter.WriteHeader(status)
+}
+
+func (w *headerWatch) Write(b []byte) (int, error) {
+	w.sent = true
+	return w.ResponseWriter.Write(b)
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) error {
@@ -462,8 +483,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
-	_, err = w.Write(buf)
-	return err
+	// The response is committed once the header is out. A failed body write
+	// means the client went away (a gateway cancelling a hedge, say); there
+	// is nobody left to answer, so it is not a handler error.
+	_, _ = w.Write(buf)
+	return nil
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

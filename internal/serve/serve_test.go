@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ml"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -242,6 +244,36 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/classify", serve.ClassifyRequest{Histogram: []float64{1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("slow model got %d, want 504: %s", resp.StatusCode, body)
+	}
+}
+
+// goneWriter is a ResponseWriter whose client has gone away: the header
+// goes out, every body write fails.
+type goneWriter struct {
+	header      http.Header
+	headerCalls int
+}
+
+func (w *goneWriter) Header() http.Header       { return w.header }
+func (w *goneWriter) WriteHeader(int)           { w.headerCalls++ }
+func (w *goneWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestFailedBodyWriteIsNotAnError: a body write that fails after the header
+// is out must neither trigger a second (superfluous) WriteHeader with an
+// error response nor count as a server error.
+func TestFailedBodyWriteIsNotAnError(t *testing.T) {
+	s, _ := newTestServer(t, serve.Config{Models: map[string]ml.Model{"stub": &stubModel{}}})
+	errCount := obs.GetCounter("serve.errors")
+	before := errCount.Value()
+	w := &goneWriter{header: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify",
+		strings.NewReader(`{"histogram":[0,1]}`))
+	s.Handler().ServeHTTP(w, req)
+	if w.headerCalls != 1 {
+		t.Fatalf("WriteHeader called %d times, want 1", w.headerCalls)
+	}
+	if got := errCount.Value(); got != before {
+		t.Fatalf("serve.errors moved %d -> %d on a client-side write failure", before, got)
 	}
 }
 

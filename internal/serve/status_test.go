@@ -5,7 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // TestStatusForError pins the error-to-status contract the guard relies
@@ -35,5 +39,33 @@ func TestStatusForError(t *testing.T) {
 				t.Fatalf("statusForError(%v) = %d, want %d", tc.err, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestPanicAfterHeaderSendsNoSecondResponse: a handler that panics after
+// committing its header still counts as an error, but the guard must not
+// append a 500 error body to the response already under way.
+func TestPanicAfterHeaderSendsNoSecondResponse(t *testing.T) {
+	s := &Server{
+		cfg:      Config{RequestTimeout: time.Second},
+		admit:    make(chan struct{}, 1),
+		barrier:  NewDrainBarrier(),
+		requests: obs.GetCounter("serve.requests"),
+		rejected: obs.GetCounter("serve.rejected"),
+		errors:   obs.GetCounter("serve.errors"),
+		inflight: obs.GetGauge("serve.inflight"),
+	}
+	h := s.guard("late_panic", func(w http.ResponseWriter, r *http.Request) error {
+		w.WriteHeader(http.StatusOK)
+		panic("after the header")
+	})
+	before := s.errors.Value()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", nil))
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("got status %d body %q, want the committed 200 and no error body", rec.Code, rec.Body)
+	}
+	if got := s.errors.Value(); got != before+1 {
+		t.Fatalf("serve.errors moved %d -> %d, want one panic counted", before, got)
 	}
 }

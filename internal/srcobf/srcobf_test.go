@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/passes"
 	"repro/internal/srcobf"
@@ -123,7 +124,7 @@ func TestStrategiesPreserveSemantics(t *testing.T) {
 func TestStrategiesMoveHistogram(t *testing.T) {
 	src := programs[0].src
 	m0, _ := minic.CompileSource(src, "t")
-	h0 := embed.Histogram(m0)
+	h0 := embed.HistogramFlat(ir.Flatten(m0))
 	moved := 0
 	for _, strat := range srcobf.StrategyNames() {
 		out, err := srcobf.TransformSource(src, strat, rand.New(rand.NewSource(5)))
@@ -134,7 +135,7 @@ func TestStrategiesMoveHistogram(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		if embed.Distance(h0, embed.Histogram(m1)) > 0 {
+		if embed.Distance(h0, embed.HistogramFlat(ir.Flatten(m1))) > 0 {
 			moved++
 		}
 	}
@@ -161,7 +162,7 @@ func TestSourceEvasionDissolvesUnderO3(t *testing.T) {
 		if err := passes.Optimize(m1, level); err != nil {
 			t.Fatal(err)
 		}
-		return embed.Distance(embed.Histogram(m0), embed.Histogram(m1))
+		return embed.Distance(embed.HistogramFlat(ir.Flatten(m0)), embed.HistogramFlat(ir.Flatten(m1)))
 	}
 	d0 := distAt(passes.O0)
 	d3 := distAt(passes.O3)
