@@ -2,8 +2,10 @@
 #
 #   make build   compile everything
 #   make test    tier-1 suite (what CI must keep green)
+#   make fmt-check  fail if any Go file is not gofmt-formatted
 #   make race    vet + race-detector pass over the concurrent packages
-#                (the game harness, the embeddings and parallel training)
+#                (the game harness, the embeddings, parallel training, the
+#                fuzz campaigns' merges and the shared parallel loop)
 #                — run on every PR
 #   make bench   kernel/training benchmarks -> BENCH_ml.json
 #   make bench-ir  flat-IR benchmarks (Flatten cost, flat-share vs clone,
@@ -52,16 +54,19 @@
 #   make perfbench-check  vet and test the perfbench module (a separate Go
 #                module, so the root build never compiles it) against the
 #                current APIs — run on every PR
-#   make check   everything CI runs: build + test + race + cross +
+#   make check   everything CI runs: build + fmt-check + test + race + cross +
 #                serve-smoke + gateway-smoke + coevo-smoke + fuzz-smoke +
 #                fuzz-smoke-vm + thaw-smoke + perfbench-check
 
 GO ?= go
 
-.PHONY: build test race bench bench-ir bench-interp bench-coevo bench-transform bench-figures perf cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check fuzz check
+.PHONY: build fmt-check test race bench bench-ir bench-interp bench-coevo bench-transform bench-figures perf cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check fuzz check
 
 build:
 	$(GO) build ./...
+
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 test: build
 	$(GO) test ./...
@@ -71,7 +76,7 @@ race:
 	$(GO) test -race ./internal/coevo/... ./internal/core/... ./internal/embed/... \
 		./internal/ir/... ./internal/linalg/... ./internal/ml/... ./internal/obs/... \
 		./internal/progcache/... ./internal/serve/... ./internal/gateway/... \
-		./internal/vm/... ./cmd/arena/...
+		./internal/vm/... ./internal/difftest/... ./internal/par/... ./cmd/arena/...
 
 # arm64 covers the !amd64 dispatch build; 386 additionally shakes out
 # 64-bit-assuming code on a 32-bit word size.
@@ -238,4 +243,4 @@ bench-transform:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-check: build test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check
+check: build fmt-check test race cross serve-smoke gateway-smoke coevo-smoke fuzz-smoke fuzz-smoke-vm thaw-smoke perfbench-check

@@ -59,7 +59,7 @@ func cmdCoevo(args []string) error {
 		Tolerance:   *tol,
 		EloK:        *eloK,
 		Seed:        c.seed,
-		Workers:     c.workers(),
+		Workers:     c.jobs,
 		SnapshotDir: *snapdir,
 	}
 	if *push != "" {

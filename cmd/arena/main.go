@@ -31,16 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ml"
+	"repro/internal/par"
 	"repro/internal/passes"
 )
 
@@ -173,59 +171,7 @@ func addCommon(fs *flag.FlagSet) *commonFlags {
 	fs.StringVar(&c.dataset, "dataset", "", "load the dataset from a JSON file (see 'arena gen') instead of generating")
 	fs.IntVar(&c.jobs, "j", 0, "parallel workers for rounds and experiment cells (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.verbose, "v", false, "print compile-cache and per-phase timing counters")
-	fs.Func("train-workers", "goroutines per model Fit/evaluation (0 = GOMAXPROCS); "+
-		"results are byte-identical for any value — set 1 when -j already saturates the machine",
-		func(s string) error {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				return fmt.Errorf("bad -train-workers %q: %w", s, err)
-			}
-			ml.SetTrainWorkers(n)
-			return nil
-		})
 	return c
-}
-
-// workers resolves the -j flag.
-func (c *commonFlags) workers() int {
-	if c.jobs > 0 {
-		return c.jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runCells runs fn(0..n-1) on a pool of workers and returns the first error
-// in cell order (so error reporting does not depend on scheduling). Worker
-// sizing goes through core.ClampWorkers like every other parallel site: a
-// zero-cell run spawns nothing and returns immediately.
-func runCells(n, workers int, fn func(i int) error) error {
-	workers = core.ClampWorkers(workers, n)
-	if workers == 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // loadSet builds or loads the dataset per the common flags.
@@ -268,7 +214,6 @@ func cmdAll(args []string) error {
 	rounds := fs.Int("rounds", 2, "rounds per configuration")
 	seed := fs.Int64("seed", 1, "master seed")
 	jobs := fs.Int("j", 0, "parallel workers passed to every step (0 = GOMAXPROCS)")
-	trainWorkers := fs.String("train-workers", "", "per-Fit goroutines passed to every step (empty = leave default)")
 	verbose := fs.Bool("v", false, "print per-step wall clock and compile-cache counters")
 	o := addObs(fs)
 	if err := fs.Parse(args); err != nil {
@@ -283,9 +228,6 @@ func cmdAll(args []string) error {
 			"-classes", fmt.Sprint(*classes), "-per", fmt.Sprint(*per),
 			"-rounds", fmt.Sprint(*rounds), "-seed", fmt.Sprint(*seed),
 			"-j", fmt.Sprint(*jobs),
-		}
-		if *trainWorkers != "" {
-			out = append(out, "-train-workers", *trainWorkers)
 		}
 		if *verbose {
 			out = append(out, "-v")
@@ -368,7 +310,7 @@ func cmdGame(game int, args []string) error {
 		},
 		Seed: c.seed,
 	}
-	results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.workers())
+	results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.jobs)
 	if err != nil {
 		return err
 	}
@@ -436,14 +378,14 @@ func cmdEmbeddings(args []string) error {
 			cells = append(cells, &cell{game: game, emb: emb, model: model})
 		}
 	}
-	err = runCells(len(cells), c.workers(), func(i int) error {
+	err = par.For(len(cells), c.jobs, func(i int) error {
 		cl := cells[i]
 		cfg := core.GameConfig{
 			Game: cl.game, Evader: *evader,
 			Pipeline: core.Pipeline{Embedding: cl.emb, Model: cl.model, Normalizer: passes.O3},
 			Seed:     c.seed,
 		}
-		results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.workers())
+		results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.jobs)
 		if err != nil {
 			return err
 		}
@@ -482,13 +424,13 @@ func cmdModels(args []string) error {
 	models := ml.VectorNames()
 	rows := make([]string, len(models))
 	cellResults := make([][]core.GameResult, len(models))
-	err = runCells(len(models), c.workers(), func(i int) error {
+	err = par.For(len(models), c.jobs, func(i int) error {
 		cfg := core.GameConfig{
 			Game:     0,
 			Pipeline: core.Pipeline{Embedding: *embedding, Model: models[i]},
 			Seed:     c.seed,
 		}
-		results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.workers())
+		results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.jobs)
 		if err != nil {
 			return err
 		}
@@ -532,7 +474,7 @@ func cmdClasses(args []string) error {
 	}
 	rows := make([]string, len(counts))
 	cellResults := make([][]core.GameResult, len(counts))
-	err = runCells(len(counts), c.workers(), func(i int) error {
+	err = par.For(len(counts), c.jobs, func(i int) error {
 		m := counts[i]
 		set, err := dataset.Generate(m, c.perClass, c.seed)
 		if err != nil {
@@ -543,7 +485,7 @@ func cmdClasses(args []string) error {
 			Pipeline: core.Pipeline{Embedding: "histogram", Model: *model},
 			Seed:     c.seed,
 		}
-		results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.workers())
+		results, sum, err := core.RunRoundsN(set, cfg, c.rounds, c.jobs)
 		if err != nil {
 			return err
 		}

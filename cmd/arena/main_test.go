@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"sync/atomic"
@@ -10,11 +9,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
-// TestRunCellsEdges pins the clamping contract shared with core.ClampWorkers:
-// zero cells spawn nothing, worker counts are clamped to [1, n], and every
-// cell runs exactly once.
+// TestRunCellsEdges pins how the experiment commands fan their cells out
+// through par.For with the -j value: zero cells run nothing, any worker
+// count (default, negative, larger than the cell count) is accepted, and
+// every cell runs exactly once.
 func TestRunCellsEdges(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -32,7 +33,7 @@ func TestRunCellsEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var calls atomic.Int64
 			seen := make([]atomic.Bool, tc.n)
-			err := runCells(tc.n, tc.workers, func(i int) error {
+			err := par.For(tc.n, tc.workers, func(i int) error {
 				calls.Add(1)
 				if seen[i].Swap(true) {
 					return fmt.Errorf("cell %d ran twice", i)
@@ -49,28 +50,7 @@ func TestRunCellsEdges(t *testing.T) {
 	}
 }
 
-// TestRunCellsFirstErrorInCellOrder: when several cells fail, the error for
-// the lowest-indexed cell is reported, independent of goroutine scheduling.
-func TestRunCellsFirstErrorInCellOrder(t *testing.T) {
-	errA := errors.New("cell 2 failed")
-	errB := errors.New("cell 6 failed")
-	for trial := 0; trial < 20; trial++ {
-		err := runCells(8, 4, func(i int) error {
-			switch i {
-			case 2:
-				return errA
-			case 6:
-				return errB
-			}
-			return nil
-		})
-		if !errors.Is(err, errA) {
-			t.Fatalf("trial %d: got %v, want the lowest-indexed cell's error", trial, err)
-		}
-	}
-}
-
-// TestParallelCellTally drives real games through runCells — the path the
+// TestParallelCellTally drives real games through par.For — the path the
 // old per-command tally struct was written on — and checks the atomic
 // metrics registry under load. `make race` runs this with -race; it is the
 // regression test for the phase-tally data race the obs registry replaced.
@@ -87,7 +67,7 @@ func TestParallelCellTally(t *testing.T) {
 		{Embedding: "milepost", Model: "lr"},
 	}
 	results := make([]core.GameResult, len(pipelines))
-	err = runCells(len(pipelines), len(pipelines), func(i int) error {
+	err = par.For(len(pipelines), len(pipelines), func(i int) error {
 		rs, _, err := core.RunRoundsN(set, core.GameConfig{
 			Game: 0, Pipeline: pipelines[i], Seed: 7,
 		}, 2, 2)

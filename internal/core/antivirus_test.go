@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/ir"
 	"repro/internal/minic"
 )
 
@@ -40,7 +41,7 @@ func TestSignatureScannerSeparatesTraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sc.Scan(m) {
+		if !sc.Scan(ir.Flatten(m)) {
 			t.Fatal("held-out family member not detected")
 		}
 	}
@@ -49,7 +50,7 @@ func TestSignatureScannerSeparatesTraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.Scan(m) {
+		if sc.Scan(ir.Flatten(m)) {
 			t.Fatal("benign program flagged")
 		}
 	}

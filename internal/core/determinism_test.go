@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ml"
 	"repro/internal/progcache"
 	"repro/internal/stats"
 )
@@ -138,9 +137,10 @@ func TestRunRoundsCachedUncachedInvariance(t *testing.T) {
 // TestTrainParallelInvariance checks the end-to-end guarantee of the
 // data-parallel training + parallel evaluation path: a full game round —
 // sharded model fit, worker-pool test-set prediction — must be
-// byte-identical whether ml uses 1, 4 or 8 training workers.
+// byte-identical at GOMAXPROCS 1, 4 and 8, which set how many goroutines
+// ml trains and core predicts with.
 func TestTrainParallelInvariance(t *testing.T) {
-	defer ml.SetTrainWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	set := smallSet(t, 4, 8, 35)
 	cfgs := []core.GameConfig{
 		{Game: 0, Pipeline: core.Pipeline{Embedding: "histogram", Model: "mlp"}, Seed: 11},
@@ -150,7 +150,7 @@ func TestTrainParallelInvariance(t *testing.T) {
 		type outcome struct{ acc, f1 float64 }
 		var ref outcome
 		for i, workers := range []int{1, 4, 8} {
-			ml.SetTrainWorkers(workers)
+			runtime.GOMAXPROCS(workers)
 			res, err := core.RunGame(set, cfg)
 			if err != nil {
 				t.Fatal(err)

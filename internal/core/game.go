@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -13,6 +10,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/ml"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/passes"
 	"repro/internal/progcache"
 	"repro/internal/stats"
@@ -76,7 +74,6 @@ type featurized struct {
 	vec   embed.Vector
 	graph *embed.Graph
 	label int
-	err   error
 }
 
 // RunGame plays one round of the configured game over the dataset.
@@ -160,8 +157,11 @@ func RunGame(set *dataset.Set, cfg GameConfig) (*GameResult, error) {
 		}
 		fitDone()
 		predictDone := phasePredict.Start()
-		predictAll(len(testFeats), func(i int) {
+		// Trained models are read-only at prediction time and each call
+		// writes only its own pred slot.
+		_ = par.For(len(testFeats), 0, func(i int) error {
 			pred[i] = model.PredictGraph(testFeats[i].graph)
+			return nil
 		})
 		predictDone()
 		res.ModelMemory = model.MemoryBytes()
@@ -182,8 +182,9 @@ func RunGame(set *dataset.Set, cfg GameConfig) (*GameResult, error) {
 		}
 		fitDone()
 		predictDone := phasePredict.Start()
-		predictAll(len(testFeats), func(i int) {
+		_ = par.For(len(testFeats), 0, func(i int) error {
 			pred[i] = model.Predict(testFeats[i].vec)
+			return nil
 		})
 		predictDone()
 		res.ModelMemory = model.MemoryBytes()
@@ -199,54 +200,6 @@ func RunGame(set *dataset.Set, cfg GameConfig) (*GameResult, error) {
 	return res, nil
 }
 
-// ClampWorkers bounds a requested worker count to the n units of work
-// available: non-positive requests mean GOMAXPROCS, and the result is
-// always in [1, n] — except n <= 0, which returns 0 (no work, spawn
-// nothing). Every parallel site in the harness (featurize, predictAll,
-// RunRoundsN, the arena's experiment cells) sizes its pool through this
-// one function so the edge cases stay uniform.
-func ClampWorkers(workers, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
-}
-
-// predictAll evaluates fn(i) for every test index across all CPUs. Trained
-// models are read-only at prediction time and each call writes only its own
-// pred slot, so the output is identical to the serial loop.
-func predictAll(n int, fn func(i int)) {
-	workers := ClampWorkers(0, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // featurize compiles, transforms, optionally normalizes and embeds every
 // sample, in parallel, with per-sample deterministic randomness.
 func featurize(samples []dataset.Sample, transform string, normalize bool,
@@ -257,33 +210,22 @@ func featurize(samples []dataset.Sample, transform string, normalize bool,
 		seeds[i] = rng.Int63()
 	}
 	out := make([]featurized, len(samples))
-	workers := ClampWorkers(0, len(samples))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = featurizeOne(samples[i], transform, normalize, norm, emb, seeds[i])
-			}
-		}()
-	}
-	for i := range samples {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i := range out {
-		if out[i].err != nil {
-			return nil, fmt.Errorf("core: sample %d: %w", i, out[i].err)
+	err := par.For(len(samples), 0, func(i int) error {
+		f, err := featurizeOne(samples[i], transform, normalize, norm, emb, seeds[i])
+		if err != nil {
+			return fmt.Errorf("core: sample %d: %w", i, err)
 		}
+		out[i] = f
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 func featurizeOne(s dataset.Sample, transform string, normalize bool,
-	norm passes.Level, emb *embed.Embedding, seed int64) featurized {
+	norm passes.Level, emb *embed.Embedding, seed int64) (featurized, error) {
 
 	f := featurized{label: s.Class}
 	var fl *ir.Flat
@@ -295,19 +237,16 @@ func featurizeOne(s dataset.Sample, transform string, normalize bool,
 		var err error
 		fl, err = progcache.CompileFlat(s.Source, "prog")
 		if err != nil {
-			f.err = err
-			return f
+			return f, err
 		}
 	} else {
 		m, err := Transform(s.Source, transform, rand.New(rand.NewSource(seed)))
 		if err != nil {
-			f.err = err
-			return f
+			return f, err
 		}
 		if normalize {
 			if err := Normalize(m, norm); err != nil {
-				f.err = err
-				return f
+				return f, err
 			}
 		}
 		fl = ir.Flatten(m)
@@ -319,7 +258,7 @@ func featurizeOne(s dataset.Sample, transform string, normalize bool,
 		f.vec = emb.VecFlat(fl)
 	}
 	phaseEmbed.Observe(time.Since(embedStart))
-	return f
+	return f, nil
 }
 
 // RunRounds repeats the game the given number of rounds (the paper uses
@@ -338,36 +277,19 @@ func RunRoundsN(set *dataset.Set, cfg GameConfig, rounds int, workers int) ([]Ga
 	if rounds < 1 {
 		return nil, stats.Summary{}, fmt.Errorf("core: rounds must be >= 1, got %d", rounds)
 	}
-	workers = ClampWorkers(workers, rounds)
 	results := make([]GameResult, rounds)
-	errs := make([]error, rounds)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range jobs {
-				c := cfg
-				c.Seed = cfg.Seed + int64(r)*7919
-				res, err := RunGame(set, c)
-				if err != nil {
-					errs[r] = err
-					continue
-				}
-				results[r] = *res
-			}
-		}()
-	}
-	for r := 0; r < rounds; r++ {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
+	err := par.For(rounds, workers, func(r int) error {
+		c := cfg
+		c.Seed = cfg.Seed + int64(r)*7919
+		res, err := RunGame(set, c)
 		if err != nil {
-			return nil, stats.Summary{}, err
+			return err
 		}
+		results[r] = *res
+		return nil
+	})
+	if err != nil {
+		return nil, stats.Summary{}, err
 	}
 	accs := make([]float64, rounds)
 	for r := range results {

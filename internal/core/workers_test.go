@@ -2,11 +2,19 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
+// TestClampWorkers pins the pool size the game's fan-outs get from par.For
+// (RunRoundsN's workers argument; 0 for featurisation and prediction): no
+// work runs nothing, workers <= 0 means GOMAXPROCS, and the count is clamped
+// to n. The first want calls wait for one another, so a smaller pool times
+// out, and the peak number of calls in flight shows a larger one.
 func TestClampWorkers(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 	cases := []struct {
@@ -26,22 +34,42 @@ func TestClampWorkers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ClampWorkers(tc.workers, tc.n); got != tc.want {
-				t.Fatalf("ClampWorkers(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+			var (
+				mu                    sync.Mutex
+				entered, inside, peak int
+				release               = make(chan struct{})
+			)
+			_ = par.For(tc.n, tc.workers, func(i int) error {
+				mu.Lock()
+				entered++
+				inside++
+				peak = max(peak, inside)
+				if entered == tc.want {
+					close(release)
+				}
+				mu.Unlock()
+				select {
+				case <-release:
+				case <-time.After(10 * time.Second):
+					t.Errorf("index %d: fewer than %d calls ever ran at once", i, tc.want)
+				}
+				mu.Lock()
+				inside--
+				mu.Unlock()
+				return nil
+			})
+			if peak != tc.want {
+				t.Fatalf("For(%d, %d): %d calls ran at once, want %d", tc.n, tc.workers, peak, tc.want)
 			}
 		})
 	}
-	// The GOMAXPROCS default must still be clamped by n on big machines and
-	// stay >= 1 on any machine.
-	if got := ClampWorkers(0, 1); got != 1 {
-		t.Fatalf("ClampWorkers(0, 1) = %d, want 1", got)
-	}
 }
 
-// predictAll over an empty batch must not spawn workers or call the model.
+// Prediction over an empty test batch must not call the model.
 func TestPredictAllEmpty(t *testing.T) {
-	predictAll(0, func(i int) {
+	_ = par.For(0, 0, func(i int) error {
 		t.Fatalf("predict called for empty batch (i=%d)", i)
+		return nil
 	})
 }
 

@@ -11,9 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/progcache"
 	"repro/internal/progen"
 )
@@ -141,80 +141,67 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	verifyfails := obs.GetCounter("fuzz.verifyfail")
 
 	var mu sync.Mutex
-	workers := core.ClampWorkers(cfg.Workers, cfg.N)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				progSeed := cfg.Seed + int64(i)
-				src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
-				programs.Inc()
-				oracle, err := Oracle(src)
-				if err != nil {
-					// A generator bug, not a transform bug: surface it as a
-					// campaign-level failure with no transform attached.
-					mu.Lock()
-					res.OracleErrs++
-					res.Failures = append(res.Failures, Failure{
-						Seed: progSeed, Transform: "oracle", Verdict: TransformError,
-						Detail: err.Error(), Repro: src,
-					})
-					mu.Unlock()
-					continue
-				}
-				for _, tr := range trs {
-					start := time.Now()
-					rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
-					v, detail := CheckOneEngine(src, tr, rng, oracle, eng)
-					elapsed := time.Since(start)
-					obs.GetTimer("fuzz.transform." + tr.Name).Observe(elapsed)
-					mu.Lock()
-					st := res.Stats[tr.Name]
-					st.Nanos += elapsed.Nanoseconds()
-					switch v {
-					case Equal:
-						st.Equal++
-					case TrapSkipped:
-						st.TrapSkipped++
-						trapskips.Inc()
-					case Mismatch:
-						st.Mismatch++
-						mismatches.Inc()
-					case EngineDiverged:
-						st.EngineDiverged++
-						mismatches.Inc()
-					case VerifyFail:
-						st.VerifyFail++
-						verifyfails.Inc()
-					default:
-						st.Errors++
-						mismatches.Inc()
-					}
-					if v.Failure() {
-						repro := src
-						if cfg.Shrink {
-							mu.Unlock()
-							repro = ShrinkFailureEngine(src, tr, progSeed, eng)
-							mu.Lock()
-						}
-						res.Failures = append(res.Failures, Failure{
-							Seed: progSeed, Transform: tr.Name, Verdict: v,
-							Detail: detail, Repro: repro,
-						})
-					}
-					mu.Unlock()
-				}
+	_ = par.For(cfg.N, cfg.Workers, func(i int) error {
+		progSeed := cfg.Seed + int64(i)
+		src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
+		programs.Inc()
+		oracle, err := Oracle(src)
+		if err != nil {
+			// A generator bug, not a transform bug: surface it as a
+			// campaign-level failure with no transform attached.
+			mu.Lock()
+			res.OracleErrs++
+			res.Failures = append(res.Failures, Failure{
+				Seed: progSeed, Transform: "oracle", Verdict: TransformError,
+				Detail: err.Error(), Repro: src,
+			})
+			mu.Unlock()
+			return nil
+		}
+		for _, tr := range trs {
+			start := time.Now()
+			rng := rand.New(rand.NewSource(cellSeed(progSeed, tr.Name)))
+			v, detail := CheckOneEngine(src, tr, rng, oracle, eng)
+			elapsed := time.Since(start)
+			obs.GetTimer("fuzz.transform." + tr.Name).Observe(elapsed)
+			mu.Lock()
+			st := res.Stats[tr.Name]
+			st.Nanos += elapsed.Nanoseconds()
+			switch v {
+			case Equal:
+				st.Equal++
+			case TrapSkipped:
+				st.TrapSkipped++
+				trapskips.Inc()
+			case Mismatch:
+				st.Mismatch++
+				mismatches.Inc()
+			case EngineDiverged:
+				st.EngineDiverged++
+				mismatches.Inc()
+			case VerifyFail:
+				st.VerifyFail++
+				verifyfails.Inc()
+			default:
+				st.Errors++
+				mismatches.Inc()
 			}
-		}()
-	}
-	for i := 0; i < cfg.N; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+			if v.Failure() {
+				repro := src
+				if cfg.Shrink {
+					mu.Unlock()
+					repro = ShrinkFailureEngine(src, tr, progSeed, eng)
+					mu.Lock()
+				}
+				res.Failures = append(res.Failures, Failure{
+					Seed: progSeed, Transform: tr.Name, Verdict: v,
+					Detail: detail, Repro: repro,
+				})
+			}
+			mu.Unlock()
+		}
+		return nil
+	})
 
 	// Failure order must not depend on worker scheduling.
 	sort.Slice(res.Failures, func(i, j int) bool {

@@ -6,10 +6,10 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/progen"
 )
 
@@ -119,68 +119,55 @@ func RunThawEquivalence(cfg ThawEquivConfig) (*ThawEquivResult, error) {
 
 	res := &ThawEquivResult{Programs: cfg.N, Transforms: len(trs)}
 	var mu sync.Mutex
-	workers := core.ClampWorkers(cfg.Workers, cfg.N)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				progSeed := cfg.Seed + int64(i)
-				src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
-				programs.Inc()
-				master, err := minic.CompileSource(src, "prog")
-				if err != nil {
-					mu.Lock()
-					res.OracleErrs++
-					res.Failures = append(res.Failures, Failure{
-						Seed: progSeed, Transform: "compile", Verdict: TransformError,
-						Detail: err.Error(), Repro: src,
-					})
-					mu.Unlock()
-					continue
-				}
-				before := master.String()
-				fl := ir.Flatten(master)
-				var fails []Failure
-				for _, tr := range trs {
-					cells.Inc()
-					if detail := thawCheck(master, fl, tr, cellSeed(progSeed, tr.Name)); detail != "" {
-						fails = append(fails, Failure{
-							Seed: progSeed, Transform: tr.Name, Verdict: Mismatch,
-							Detail: detail, Repro: src,
-						})
-					}
-				}
-				// The master fed every cell; none may have touched it — not
-				// through the clone, not through shared thaw immutables.
-				if after := master.String(); after != before {
-					fails = append(fails, Failure{
-						Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
-						Detail: fmt.Sprintf("master mutated by transform cells:\n--- before ---\n%s\n--- after ---\n%s", before, after),
-						Repro:  src,
-					})
-				} else if d := ir.FlatDiff(fl, ir.Flatten(master)); d != "" {
-					fails = append(fails, Failure{
-						Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
-						Detail: "master no longer re-flattens to its original tables: " + d,
-						Repro:  src,
-					})
-				}
-				if len(fails) > 0 {
-					mu.Lock()
-					res.Failures = append(res.Failures, fails...)
-					mu.Unlock()
-				}
+	_ = par.For(cfg.N, cfg.Workers, func(i int) error {
+		progSeed := cfg.Seed + int64(i)
+		src := progen.GenerateCfg(rand.New(rand.NewSource(progSeed)), gen)
+		programs.Inc()
+		master, err := minic.CompileSource(src, "prog")
+		if err != nil {
+			mu.Lock()
+			res.OracleErrs++
+			res.Failures = append(res.Failures, Failure{
+				Seed: progSeed, Transform: "compile", Verdict: TransformError,
+				Detail: err.Error(), Repro: src,
+			})
+			mu.Unlock()
+			return nil
+		}
+		before := master.String()
+		fl := ir.Flatten(master)
+		var fails []Failure
+		for _, tr := range trs {
+			cells.Inc()
+			if detail := thawCheck(master, fl, tr, cellSeed(progSeed, tr.Name)); detail != "" {
+				fails = append(fails, Failure{
+					Seed: progSeed, Transform: tr.Name, Verdict: Mismatch,
+					Detail: detail, Repro: src,
+				})
 			}
-		}()
-	}
-	for i := 0; i < cfg.N; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+		}
+		// The master fed every cell; none may have touched it — not
+		// through the clone, not through shared thaw immutables.
+		if after := master.String(); after != before {
+			fails = append(fails, Failure{
+				Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
+				Detail: fmt.Sprintf("master mutated by transform cells:\n--- before ---\n%s\n--- after ---\n%s", before, after),
+				Repro:  src,
+			})
+		} else if d := ir.FlatDiff(fl, ir.Flatten(master)); d != "" {
+			fails = append(fails, Failure{
+				Seed: progSeed, Transform: "master-immutability", Verdict: Mismatch,
+				Detail: "master no longer re-flattens to its original tables: " + d,
+				Repro:  src,
+			})
+		}
+		if len(fails) > 0 {
+			mu.Lock()
+			res.Failures = append(res.Failures, fails...)
+			mu.Unlock()
+		}
+		return nil
+	})
 	res.Cells = int64(res.Programs) * int64(res.Transforms)
 
 	// Failure order must not depend on worker scheduling.

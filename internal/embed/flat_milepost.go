@@ -12,18 +12,18 @@ import (
 // All slices are function-local (indexed by block position within the
 // function) and recycled through milepostPool.
 type milepostScratch struct {
-	post    []int32 // postorder collection, reversed in place into RPO
-	order   []int32 // block -> RPO position, -1 if unreachable
-	idom    []int32 // block -> immediate dominator, -1 = none/entry
-	predOff []int32 // counting-sort offsets into predList (len nb+1)
+	post     []int32 // postorder collection, reversed in place into RPO
+	order    []int32 // block -> RPO position, -1 if unreachable
+	idom     []int32 // block -> immediate dominator, -1 = none/entry
+	predOff  []int32 // counting-sort offsets into predList (len nb+1)
 	predList []int32
-	stack   []int32 // DFS / loop-body worklist
-	frameB  []int32 // DFS frame: block
-	frameI  []int32 // DFS frame: next successor ordinal
-	backH   []int32 // back-edge headers, in discovery order
-	backL   []int32 // back-edge latches, parallel to backH
-	stamp   []int32 // block -> loop id of the loop body being built
-	loopOf  []int32 // header block -> loop id, 0 = not a header
+	stack    []int32 // DFS / loop-body worklist
+	frameB   []int32 // DFS frame: block
+	frameI   []int32 // DFS frame: next successor ordinal
+	backH    []int32 // back-edge headers, in discovery order
+	backL    []int32 // back-edge latches, parallel to backH
+	stamp    []int32 // block -> loop id of the loop body being built
+	loopOf   []int32 // header block -> loop id, 0 = not a header
 }
 
 var milepostPool = sync.Pool{New: func() any { return new(milepostScratch) }}

@@ -4,9 +4,33 @@ import "fmt"
 
 // Parser builds a File from tokens via recursive descent.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // statement and expression frames currently open
 }
+
+// maxNesting bounds how deeply statements and expressions may nest, counted
+// in parseStmt, parseAssign, parseTernary and parseUnary frames (a
+// parenthesised operand opens three) plus one per binary operator in a
+// chain. The parser and every pass over the AST recurse once per level, so
+// an unbounded input (a request body of nested parentheses) would grow a
+// goroutine stack toward the runtime's 1 GB limit, a fatal error no recover
+// catches. Measured in these units, the dataset generators reach 23, progen
+// 88, srcobf strategy outputs 104 and ga populations evolved for up to ten
+// generations 130.
+const maxNesting = 1000
+
+// enter opens one nesting level and fails past maxNesting. Callers close it
+// with a deferred leave; parseBinary instead restores the depth it saved.
+func (p *Parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errorf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // Parse parses a MiniC translation unit.
 func Parse(src string) (*File, error) {
@@ -314,6 +338,10 @@ func (p *Parser) parseBlock() (*BlockStmt, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.isPunct("{"):
 		return p.parseBlock()
@@ -572,6 +600,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *Parser) parseAssign() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -589,6 +621,10 @@ func (p *Parser) parseAssign() (Expr, error) {
 }
 
 func (p *Parser) parseTernary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	cond, err := p.parseBinary(0)
 	if err != nil {
 		return nil, err
@@ -632,12 +668,19 @@ func (p *Parser) parseBinary(level int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The tree is left-deep, so each operator nests the chain so far one
+	// level deeper and counts toward maxNesting.
+	depth := p.depth
 	for {
 		t := p.cur()
 		if t.Kind != TokPunct || !containsStr(binLevels[level], t.Text) {
+			p.depth = depth
 			return lhs, nil
 		}
 		p.pos++
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
@@ -656,6 +699,10 @@ func containsStr(s []string, x string) bool {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {

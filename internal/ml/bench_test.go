@@ -2,6 +2,7 @@ package ml_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/embed"
@@ -17,17 +18,16 @@ func benchVecData(b *testing.B) ([][]float64, []int, [][]float64) {
 	return Xtr, ytr, Xte
 }
 
-// benchWorkers runs fn once pinned to a single training worker (the
-// apples-to-apples number against the old per-sample implementation) and
+// benchWorkers runs fn once at GOMAXPROCS 1, a single training worker (the
+// apples-to-apples number against the old per-sample implementation), and
 // once with all cores. Training results are byte-identical either way.
 func benchWorkers(b *testing.B, fn func(b *testing.B)) {
 	for _, cfg := range []struct {
 		name    string
 		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
+	}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			ml.SetTrainWorkers(cfg.workers)
-			defer ml.SetTrainWorkers(0)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cfg.workers))
 			b.ReportAllocs()
 			b.ResetTimer()
 			fn(b)
@@ -96,8 +96,7 @@ func BenchmarkFitLogistic(b *testing.B) {
 // only the kernel rewiring shows up here).
 func BenchmarkFitSVM(b *testing.B) {
 	X, y, _ := benchVecData(b)
-	ml.SetTrainWorkers(1)
-	defer ml.SetTrainWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

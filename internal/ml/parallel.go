@@ -1,24 +1,21 @@
 package ml
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/linalg"
+	"repro/internal/par"
 )
 
 // Deterministic data-parallel training.
 //
 // Every gradient-trained model splits each minibatch into fixed-size shards
 // (trainShard samples for vector models, graphShard graphs for the DGCNN).
-// Workers claim whole shards and accumulate gradients into private per-shard
-// buffers; the reduction then merges the shards in shard-index order. The
-// shard structure depends only on the batch size — never on the worker
-// count — so the float summation order is fixed and training results are
-// byte-identical for any GOMAXPROCS / SetTrainWorkers value, including the
-// serial path (one worker). This is the same guarantee the game harness
-// gives for parallel rounds.
+// par.For hands whole shards to up to GOMAXPROCS goroutines, which
+// accumulate gradients into private per-shard buffers; the reduction then
+// merges the shards in shard-index order. The shard structure depends only
+// on the batch size — never on the worker count — so the float summation
+// order is fixed and training results are byte-identical for any
+// GOMAXPROCS, including the serial path (one worker). This is the same
+// guarantee the game harness gives for parallel rounds.
 
 const (
 	// trainShard is the gradient-shard width for vector models.
@@ -28,73 +25,17 @@ const (
 	graphShard = 2
 )
 
-// trainWorkers holds the configured worker count; 0 means GOMAXPROCS.
-var trainWorkers atomic.Int32
-
-// SetTrainWorkers sets the number of goroutines gradient-trained models use
-// per minibatch. n <= 0 restores the default (GOMAXPROCS). Any value yields
-// byte-identical training results; the knob only trades wall-clock for CPU.
-// When the game harness already saturates the machine with parallel rounds
-// (arena -j), set this to 1 to avoid oversubscription.
-func SetTrainWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	trainWorkers.Store(int32(n))
-}
-
-// NumTrainWorkers reports the effective training worker count.
-func NumTrainWorkers() int {
-	if n := int(trainWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func numShards(n, shardSize int) int {
 	return (n + shardSize - 1) / shardSize
 }
 
 // forShards runs fn(shard, start, end) for every shardSize-wide shard of n
-// samples. Shards are claimed atomically by up to NumTrainWorkers()
-// goroutines; with one worker everything runs inline on the caller. fn must
-// write only to per-shard state.
+// samples through par.For. fn must write only to per-shard state.
 func forShards(n, shardSize int, fn func(shard, start, end int)) {
-	shards := numShards(n, shardSize)
-	workers := NumTrainWorkers()
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			end := (s + 1) * shardSize
-			if end > n {
-				end = n
-			}
-			fn(s, s*shardSize, end)
-		}
-		return
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				end := (s + 1) * shardSize
-				if end > n {
-					end = n
-				}
-				fn(s, s*shardSize, end)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = par.For(numShards(n, shardSize), 0, func(s int) error {
+		fn(s, s*shardSize, min((s+1)*shardSize, n))
+		return nil
+	})
 }
 
 // shardGrads holds per-shard gradient accumulators mirroring a parameter

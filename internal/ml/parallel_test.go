@@ -2,21 +2,23 @@ package ml_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/ml"
 )
 
-// TestFitWorkerDeterminism trains every gradient-sharded model under 1, 4
-// and 8 training workers and demands byte-identical weights: the shard
-// structure fixes the float summation order independently of scheduling.
+// TestFitWorkerDeterminism trains every gradient-sharded model at
+// GOMAXPROCS 1, 4 and 8 (the training worker count) and demands
+// byte-identical weights: the shard structure fixes the float summation
+// order independently of scheduling.
 func TestFitWorkerDeterminism(t *testing.T) {
-	defer ml.SetTrainWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(31))
 	X, y, _, _ := synthBlobs(rng, 90, 0, 17, 4, 2.0)
 
 	fitVec := func(name string, workers int) [][]float64 {
-		ml.SetTrainWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		m, err := ml.New(name, rand.New(rand.NewSource(6)))
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +43,7 @@ func TestFitWorkerDeterminism(t *testing.T) {
 
 	gs, ys := synthGraphs(rand.New(rand.NewSource(17)), 24)
 	fitGraph := func(workers int) [][]float64 {
-		ml.SetTrainWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		m := ml.NewDGCNN(rand.New(rand.NewSource(6)))
 		m.Epochs = 4
 		if err := m.FitGraphs(gs, ys, 2); err != nil {

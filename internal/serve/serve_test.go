@@ -315,6 +315,10 @@ func TestClassifyValidation(t *testing.T) {
 		{"empty", serve.ClassifyRequest{}},
 		{"both", serve.ClassifyRequest{Source: "int main() { return 0; }", Histogram: []float64{1}}},
 		{"broken source", serve.ClassifyRequest{Source: "int main( {"}},
+		// ~800 KB of nested parentheses: without the parser's nesting bound
+		// this grew the goroutine stack toward 1 GB and killed the process.
+		{"deeply nested source", serve.ClassifyRequest{Source: "int main() { return " +
+			strings.Repeat("(", 400<<10) + "1" + strings.Repeat(")", 400<<10) + "; }"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -327,6 +331,14 @@ func TestClassifyValidation(t *testing.T) {
 				t.Fatalf("400 without a JSON error body: %s", body)
 			}
 		})
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after rejected requests: %d", resp.StatusCode)
 	}
 	// Asking for a model that is not loaded is a well-formed request for a
 	// missing resource: 404, not 400.
